@@ -1,9 +1,9 @@
 """Machine-readable environment metadata for ``BENCH_*.json`` reports.
 
 Every benchmark report carries an ``environment`` block describing the
-toolchain the numbers were recorded under — interpreter, numpy and
-(optional) numba versions, the active compiled-kernel provider and the
-CPU count — plus a one-line ``protocol`` note (repeats, interleaving).
+toolchain the numbers were recorded under — interpreter and numpy
+versions, the active compiled-kernel provider and the CPU count — plus
+a one-line ``protocol`` note (repeats, interleaving).
 The block replaces the old free-text ``recorded_on`` string: a reader
 can now tell *why* two baselines differ instead of guessing from prose.
 ``scripts/check_bench.py`` ignores it entirely; it gates only on the
@@ -25,18 +25,11 @@ def bench_environment(protocol: str) -> dict:
     """
     import numpy
 
-    try:
-        import numba
-
-        numba_version: "str | None" = numba.__version__
-    except ImportError:
-        numba_version = None
     from .kernels import active_provider
 
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "numba": numba_version,
         "kernel_provider": active_provider(),
         "cpu_count": os.cpu_count(),
         "protocol": protocol,

@@ -700,9 +700,8 @@ COMPILED_BENCH_WINDOW_S = 2400.0
 COMPILED_SPEEDUP_FLOOR = 1.5
 
 #: Interleaved passes (numpy, compiled, numpy, ...) keeping per-tier
-#: minima, after one untimed warm-up pass per tier so kernel
-#: compilation (numba JIT or the cc shared-object build) never lands
-#: in a timed sample.
+#: minima, after one untimed warm-up pass per tier so the cc
+#: shared-object build never lands in a timed sample.
 COMPILED_BENCH_REPEATS = 3
 
 
@@ -749,8 +748,8 @@ def _cmd_bench_compiled(args: argparse.Namespace) -> int:
 
     provider = active_provider()
     if provider is None:
-        print("error: no compiled-kernel provider available — install "
-              "the repro[compiled] extra (numba) or a C compiler")
+        print("error: no compiled-kernel provider available — it needs "
+              "a working C compiler (cc, gcc or clang) on PATH")
         return 1
 
     width = 132  # six stacked 22-rack cells, the cohort family shape
@@ -917,10 +916,9 @@ def _cmd_bench_compiled(args: argparse.Namespace) -> int:
         import pstats
 
         # Kernel compilation happened during the warm-up passes above,
-        # so the profile shows steady-state dispatch only. cc-provider
-        # kernel calls appear as labeled <repro-kernels:NAME> frames;
-        # under numba they surface as the numba dispatcher's __call__.
-        print("\nprofile: one compiled end-to-end pass (warm-up/JIT "
+        # so the profile shows steady-state dispatch only. Kernel calls
+        # appear as labeled <repro-kernels:NAME> frames.
+        print("\nprofile: one compiled end-to-end pass (warm-up/build "
               "excluded; C-kernel dispatch frames are labeled "
               "<repro-kernels:NAME>)")
         profiler = cProfile.Profile()

@@ -157,12 +157,12 @@ class SchemeContext:
             PDU's rack block; ``None`` (or a flat hierarchy) keeps the
             paper's single cluster-wide pool.
         kernels: Step-kernel tier: ``"numpy"`` (vector expressions) or
-            ``"compiled"`` (fused numba/C loops over the same arrays).
+            ``"compiled"`` (fused C loops over the same arrays).
             Orthogonal to ``backend`` — the compiled tier accelerates
             the vectorized stores and is bit-identical to numpy by
-            construction; it silently degrades to numpy when no
-            provider is installed (one :class:`~repro.kernels.
-            KernelFallbackWarning` per process).
+            construction; it degrades to numpy when the C provider
+            cannot load (one :class:`~repro.kernels.
+            KernelFallbackWarning` per process, naming the cause).
     """
 
     config: DataCenterConfig
@@ -472,7 +472,7 @@ class DefenseScheme:
         the numpy path's *exact* expressions, so the compiled loops do
         no transcendental or re-associated arithmetic of their own —
         the cornerstone of the bit-identity argument (see
-        ``repro.kernels.loops``).
+        ``repro.kernels.c_src``).
         """
         cached = self._fused_coeffs
         if cached is not None and cached[0] == dt:

@@ -2,25 +2,20 @@
 
 The compiled tier fuses the per-step hot path (battery dispatch, the
 steady-drain inner loop, breaker-bank thermal steps) into single
-compiled calls over the flat cohort arrays. Providers, in preference
-order:
+compiled calls over the flat cohort arrays. Its one provider, ``cc``,
+compiles the C source in :mod:`repro.kernels.c_src` with the machine's
+C compiler and loads it through ctypes. When that cannot work — no C
+compiler on ``PATH``, the compiler exits non-zero, or writing the cache
+or loading the shared object fails — ``kernels="compiled"`` degrades to
+the numpy tier with a single :class:`KernelFallbackWarning` naming the
+cause. Any other error while loading the provider propagates.
 
-1. ``numba`` — ``@njit(cache=True)`` over :mod:`repro.kernels.loops`
-   (the ``repro[compiled]`` extra);
-2. ``cc`` — a ctypes-loaded shared object compiled from the mirrored C
-   source, used when numba is absent but a C compiler exists;
-3. none — ``kernels="compiled"`` degrades to the numpy tier with a
-   single :class:`KernelFallbackWarning`.
-
-All tiers are bit-identical by construction (see ``loops``); the tier
+Both tiers are bit-identical by construction (see ``c_src``); the tier
 only changes how fast a step runs, never what it computes.
-``REPRO_KERNELS_DISABLE`` (comma list: ``numba``, ``cc``) force-skips
-providers — tests use it to exercise the fallback path.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from types import SimpleNamespace
 
@@ -40,41 +35,26 @@ class KernelFallbackWarning(RuntimeWarning):
     """Compiled kernels were requested but no provider is available."""
 
 
-#: ``(provider name | None, namespace | None)`` once resolved.
-_RESOLVED: "tuple[str | None, SimpleNamespace | None] | None" = None
+#: ``(provider name | None, namespace | None, fallback cause | None)``
+#: once resolved.
+_RESOLVED: "tuple[str | None, SimpleNamespace | None, str | None] | None" = None
 _WARNED = False
 
 
-def _disabled() -> "set[str]":
-    raw = os.environ.get("REPRO_KERNELS_DISABLE", "")
-    return {part.strip() for part in raw.split(",") if part.strip()}
-
-
-def _resolve() -> "tuple[str | None, SimpleNamespace | None]":
+def _resolve() -> "tuple[str | None, SimpleNamespace | None, str | None]":
     global _RESOLVED
     if _RESOLVED is None:
-        disabled = _disabled()
-        providers = []
-        if "numba" not in disabled:
-            from . import numba_backend
+        from . import cc_backend
 
-            providers.append(("numba", numba_backend.load))
-        if "cc" not in disabled:
-            from . import cc_backend
-
-            providers.append(("cc", cc_backend.load))
-        _RESOLVED = (None, None)
-        for name, loader in providers:
-            try:
-                _RESOLVED = (name, loader())
-                break
-            except Exception:
-                continue
+        try:
+            _RESOLVED = ("cc", cc_backend.load(), None)
+        except cc_backend.ProviderUnavailable as exc:
+            _RESOLVED = (None, None, str(exc))
     return _RESOLVED
 
 
 def active_provider() -> "str | None":
-    """Name of the compiled provider in use (``numba``/``cc``/None)."""
+    """Name of the compiled provider in use (``cc``, or None)."""
     return _resolve()[0]
 
 
@@ -87,8 +67,8 @@ def resolve_kernels(kernels: str) -> str:
     """Validate a requested tier; degrade ``compiled`` when unbacked.
 
     Returns the *effective* tier. The downgrade warns exactly once per
-    process, and the degraded run is bit-identical to an explicit
-    ``kernels="numpy"`` run.
+    process, naming why the provider is unavailable, and the degraded
+    run is bit-identical to an explicit ``kernels="numpy"`` run.
     """
     if kernels not in KERNEL_TIERS:
         raise ValueError(
@@ -99,10 +79,9 @@ def resolve_kernels(kernels: str) -> str:
         if not _WARNED:
             _WARNED = True
             warnings.warn(
-                "kernels='compiled' requested but neither numba nor a C "
-                "compiler is available; falling back to the (bit-"
-                "identical) numpy kernels. Install repro[compiled] to "
-                "enable the compiled tier.",
+                "kernels='compiled' requested but the C kernel provider "
+                f"is unavailable: {_resolve()[2]}; falling back to the "
+                "(bit-identical) numpy kernels.",
                 KernelFallbackWarning,
                 stacklevel=2,
             )

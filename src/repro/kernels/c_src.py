@@ -1,12 +1,49 @@
-"""C source for the cc kernel backend — a statement-for-statement mirror
-of :mod:`repro.kernels.loops`.
+"""C source of the fused step kernels — the compiled tier's only loop form.
 
-Compiled with ``-O2 -ffp-contract=off`` (no ``-ffast-math``, no
-``-march=native``): every float64 operation below is the IEEE-754
-operation the numpy expression performs, in the same order, so results
-are bit-identical to the numpy tier. See the loops module docstring for
-the full equivalence argument (including why mixed signed zeros cannot
-reach the min/max selections).
+Each kernel is a *transliteration* of the numpy hot path into plain
+element loops; the numpy tier stays the semantics. ``cc_backend``
+compiles this source once and loads it through ctypes.
+
+* ``fused_dispatch`` — one post-management dispatch tick of a scheme
+  family: request clamp, charger, KiBaM fleet step with aging, LVD,
+  residual, optional fused uDEB shave/recharge.
+* ``drain_block`` — up to ``n_steps`` quiescent steady-drain ticks.
+  Each tick re-checks the read-only drain guards *before* touching
+  state; a failed guard at tick ``s`` returns ``s`` with the state as
+  the per-step path would leave it, and the caller runs tick ``s`` live.
+* ``breaker_step`` — one ``BreakerBankState.step`` thermal tick after
+  its input validation; returns the newly-tripped count.
+
+The bit-identity argument is the same one the vectorized backend makes
+against the scalar oracle:
+
+* every transcendental (``exp``) and every derived *scalar* coefficient
+  is computed once in Python by the caller — with the identical
+  expression the numpy path uses — and passed in;
+* all remaining per-element arithmetic is IEEE-754 float64 ``+ - * /``,
+  comparisons and selections, in the numpy expressions' left-to-right
+  evaluation order. The source is compiled with ``-O2
+  -ffp-contract=off`` (no FMA contraction can re-associate anything),
+  never ``-ffast-math`` or ``-march=native``;
+* ``np.minimum``/``np.maximum`` become ``(a < b) ? a : b`` selections.
+  That matches numpy bitwise for every non-NaN input pair except mixed
+  signed zeros, which cannot reach these call sites: every min/max
+  operand descends from ``max(0, ...)`` chains, positive configs, or
+  subtractions of equal finite values (which round to ``+0.0``).
+
+Boolean state travels as ``uint8`` views (shared memory with the numpy
+``bool_`` arrays), event counters as ``int64``. Conventions shared by
+all three kernels:
+
+* arrays the numpy path mutates in place (``_discharged_j``,
+  ``_charged_j``, ``_deep_discharge_events``, ``_shave_events``,
+  ``_shaved_j``, breaker ``heat``/``tripped``) are mutated in place;
+* arrays the numpy path *rebinds* (``_y1``, ``_y2``,
+  ``_disconnected``, supercap ``_charge_j``, the offline-charger mask)
+  are passed as caller-owned copies and written back by the glue, so no
+  stale alias ever observes a half-step;
+* scalar flags (the supercap ``_full`` latch) ride in ``int64[1]``
+  scratch.
 """
 
 SOURCE = r"""

@@ -1,10 +1,11 @@
 """ctypes/cc kernel backend — compiles :mod:`repro.kernels.c_src` once.
 
-Used when numba is not installed but a C compiler is. The shared object
-is cached under a content-hash filename, so the compile happens once per
-source revision per machine. Flags are chosen for bit-identity, not raw
-speed: ``-O2`` with ``-ffp-contract=off`` (no FMA contraction), never
-``-ffast-math`` or ``-march=native``.
+The compiled tier's only provider. The shared object is cached under a
+filename hashing the compiler path, the flags and the source, so the
+compile happens once per toolchain and source revision per machine.
+Flags are chosen for bit-identity, not raw speed: ``-O2`` with
+``-ffp-contract=off`` (no FMA contraction), never ``-ffast-math`` or
+``-march=native``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import shutil
 import subprocess
 import tempfile
 from types import SimpleNamespace
-
-import numpy as np
 
 from .c_src import SOURCE
 
@@ -53,7 +52,14 @@ _SIGNATURES = {
     ),
 }
 
+#: Bit-identity depends on these, so they are part of the cache key.
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-lm")
+
 _LOADED: "SimpleNamespace | None" = None
+
+
+class ProviderUnavailable(RuntimeError):
+    """The provider cannot be built or loaded here; the message says why."""
 
 
 def _compiler() -> "str | None":
@@ -64,31 +70,49 @@ def _compiler() -> "str | None":
     return None
 
 
+def _cache_name(compiler: str) -> str:
+    """The shared object's filename for ``compiler`` and this source."""
+    key = "\0".join((compiler, *_FLAGS, SOURCE))
+    return f"repro_kernels_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
+
+
 def _build() -> str:
     """Compile (or reuse) the kernel shared object; return its path."""
     compiler = _compiler()
     if compiler is None:
-        raise RuntimeError("no C compiler on PATH")
-    digest = hashlib.sha256(SOURCE.encode()).hexdigest()[:16]
+        raise ProviderUnavailable("no C compiler (cc, gcc or clang) on PATH")
     cache_dir = os.environ.get("REPRO_KERNEL_CACHE") or os.path.join(
         tempfile.gettempdir(), "repro-kernels"
     )
     os.makedirs(cache_dir, exist_ok=True)
-    so_path = os.path.join(cache_dir, f"repro_kernels_{digest}.so")
+    stem = os.path.join(cache_dir, _cache_name(compiler))
+    so_path = f"{stem}.so"
     if os.path.exists(so_path):
         return so_path
-    c_path = os.path.join(cache_dir, f"repro_kernels_{digest}.c")
-    with open(c_path, "w", encoding="utf-8") as fh:
-        fh.write(SOURCE)
+    # Per-process scratch names: concurrent cold-cache builds (sweep
+    # workers) must not truncate each other's source mid-compile.
+    c_path = f"{stem}.{os.getpid()}.c"
     tmp_path = f"{so_path}.tmp.{os.getpid()}"
-    subprocess.run(
-        [
-            compiler, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-            c_path, "-o", tmp_path, "-lm",
-        ],
-        check=True,
-        capture_output=True,
-    )
+    try:
+        with open(c_path, "w", encoding="utf-8") as fh:
+            fh.write(SOURCE)
+        subprocess.run(
+            [compiler, c_path, "-o", tmp_path, *_FLAGS],
+            check=True,
+            capture_output=True,
+        )
+    except subprocess.CalledProcessError as exc:
+        errors = [
+            line for line in exc.stderr.decode(errors="replace").splitlines()
+            if "error" in line
+        ]
+        raise ProviderUnavailable(
+            f"the C kernel build failed: {compiler} exited with status "
+            f"{exc.returncode}" + (f" ({errors[0]})" if errors else "")
+        ) from exc
+    finally:
+        if os.path.exists(c_path):
+            os.remove(c_path)
     os.replace(tmp_path, so_path)  # atomic under concurrent builds
     return so_path
 
@@ -133,10 +157,16 @@ def _wrap(name, fn, argtypes):
 
 
 def load() -> SimpleNamespace:
-    """Build/load the library; raises when no compiler is available."""
+    """Build/load the library; raises :class:`ProviderUnavailable` when
+    there is no compiler, the build fails, or an ``OSError`` occurs."""
     global _LOADED
     if _LOADED is None:
-        lib = ctypes.CDLL(_build())
+        try:
+            lib = ctypes.CDLL(_build())
+        except OSError as exc:
+            raise ProviderUnavailable(
+                f"the C kernel library could not be cached or loaded: {exc}"
+            ) from exc
         _LOADED = SimpleNamespace(**{
             name: _wrap(name, getattr(lib, name), argtypes)
             for name, argtypes in _SIGNATURES.items()

@@ -307,7 +307,7 @@ class CompiledBreakerBank(BreakerBankState):
     they are reconstructed in Python from the kernel's newly-tripped
     mask with the exact expressions the numpy path records. Falls back
     to the numpy step if the provider vanished (e.g. an unpickled bank
-    on a machine without numba or a C compiler).
+    on a machine without a C compiler).
     """
 
     def step(

@@ -270,10 +270,10 @@ class DataCenterSimulation:
         kernels: Step-kernel tier, orthogonal to ``backend``:
             ``"numpy"`` (default) evaluates the vector expressions;
             ``"compiled"`` fuses the hot per-step path (defense
-            dispatch, breaker thermals) into numba/C loops over the
-            same arrays — bit-identical by construction, enforced by
+            dispatch, breaker thermals) into C loops over the same
+            arrays — bit-identical by construction, enforced by
             ``tests/test_kernels.py``. Requesting ``"compiled"``
-            without numba or a C compiler warns once and runs the
+            without a working C compiler warns once and runs the
             numpy tier; combined with ``backend="scalar"`` it is a
             documented no-op (the scalar oracle stays pure Python).
         fault_plan: Optional declarative fault schedule; when given, a

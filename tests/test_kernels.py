@@ -2,8 +2,8 @@
 
 ``kernels="compiled"`` routes the per-step hot path (fused defense
 dispatch, the steady-drain block driver, the breaker-bank thermal step)
-through :mod:`repro.kernels` — numba when installed, the ctypes-loaded
-C mirror otherwise. Its contract is *bit-identity* with the numpy tier:
+through :mod:`repro.kernels` — the ctypes-loaded C kernels built by the
+``cc`` provider. Its contract is *bit-identity* with the numpy tier:
 the compiled kernels are written to reproduce numpy's IEEE float64
 expressions operation for operation, so every observable — dispatch
 vectors, fleet state, supercap charge, breaker heat, whole
@@ -12,8 +12,9 @@ vectors, fleet state, supercap charge, breaker heat, whole
 The Hypothesis suites here drive randomised scheme-level schedules and
 breaker tracks through both tiers; directed tests pin the cohort
 drain-block path (asserting the blocks genuinely arm), the provider
-plumbing and — in a subprocess with every provider disabled — the
-single-warning numpy fallback.
+plumbing, each way the provider can fail to load (each must warn once,
+naming its cause) and — in a subprocess with no C compiler on ``PATH``
+— the single-warning numpy fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +47,9 @@ from repro.experiments.common import (
 )
 from repro.kernels import (
     KERNEL_TIERS,
+    KernelFallbackWarning,
+    active_provider,
+    cc_backend,
     get_kernels,
     resolve_kernels,
 )
@@ -71,6 +76,8 @@ DIFFERENTIAL = settings(
 )
 
 HAVE_PROVIDER = get_kernels() is not None
+
+REPO = Path(__file__).resolve().parent.parent
 
 #: The dispatch observables the fused kernel must reproduce exactly.
 DISPATCH_FIELDS = (
@@ -397,7 +404,7 @@ def test_cohort_compiled_matches_per_cell_vectorized_numpy() -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Provider plumbing and the subprocess fallback                           #
+# Provider plumbing, failure modes and the subprocess fallback            #
 # ---------------------------------------------------------------------- #
 
 
@@ -406,6 +413,93 @@ def test_kernel_tier_validation() -> None:
     assert resolve_kernels("numpy") == "numpy"
     with pytest.raises(ValueError, match="kernels must be one of"):
         resolve_kernels("turbo")
+
+
+@pytest.fixture
+def unresolved_provider(monkeypatch, tmp_path):
+    """Forget the resolved provider and give it an empty kernel cache.
+
+    ``monkeypatch`` restores the process-global latches afterwards, so
+    the provider every other test uses comes back untouched.
+    """
+    monkeypatch.setattr("repro.kernels._RESOLVED", None)
+    monkeypatch.setattr("repro.kernels._WARNED", False)
+    monkeypatch.setattr(cc_backend, "_LOADED", None)
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    return monkeypatch
+
+
+def _udeb_run(kernels: str):
+    return run_survival(
+        standard_setup(), "uDEB", None, window_s=60.0, record_every=10,
+        backend="vectorized", kernels=kernels,
+    )
+
+
+@pytest.mark.parametrize(
+    ("compiler", "cause"),
+    [
+        (None, "no C compiler (cc, gcc or clang) on PATH"),
+        (
+            "/bin/false",
+            "the C kernel build failed: /bin/false exited with status 1",
+        ),
+    ],
+    ids=["no-compiler", "build-fails"],
+)
+def test_provider_failure_warns_its_cause_once(
+    unresolved_provider, tmp_path, compiler, cause
+) -> None:
+    """A missing compiler and a failing build each degrade to numpy
+    with one warning that says which of the two happened, leave no
+    scratch file in the cache, and change no result."""
+    unresolved_provider.setattr(cc_backend, "_compiler", lambda: compiler)
+    reference = _udeb_run("numpy")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = _udeb_run("compiled")
+        second = _udeb_run("compiled")
+    fallbacks = [
+        w for w in caught if issubclass(w.category, KernelFallbackWarning)
+    ]
+    assert len(fallbacks) == 1, fallbacks
+    assert cause in str(fallbacks[0].message)
+    assert active_provider() is None
+    assert list(tmp_path.iterdir()) == []
+    assert_results_identical("fallback first", reference, first)
+    assert_results_identical("fallback second", reference, second)
+
+
+@pytest.mark.skipif(
+    not HAVE_PROVIDER, reason="no compiled kernel provider available"
+)
+def test_unexpected_provider_error_propagates(
+    unresolved_provider, tmp_path
+) -> None:
+    """Only the expected build/load failures degrade to numpy; a defect
+    in the provider itself must surface, not turn into a fallback."""
+
+    def broken_wrap(name, fn, argtypes):
+        raise TypeError(f"cannot wrap {name}")
+
+    unresolved_provider.setattr(cc_backend, "_wrap", broken_wrap)
+    with pytest.raises(TypeError, match="cannot wrap"):
+        get_kernels()
+    # The build itself succeeded and cleaned up its scratch source.
+    name = cc_backend._cache_name(cc_backend._compiler())
+    assert [p.name for p in tmp_path.iterdir()] == [f"{name}.so"]
+
+
+def test_cache_name_tracks_compiler_and_flags(monkeypatch) -> None:
+    """A library built by another compiler, or with other flags, is
+    never reused: bit-identity depends on both."""
+    gcc = cc_backend._cache_name("/usr/bin/gcc")
+    assert cc_backend._cache_name("/usr/bin/clang") != gcc
+    monkeypatch.setattr(
+        cc_backend, "_FLAGS",
+        tuple(f for f in cc_backend._FLAGS if f != "-ffp-contract=off"),
+    )
+    assert cc_backend._cache_name("/usr/bin/gcc") != gcc
 
 
 _FALLBACK_CHILD = """
@@ -432,7 +526,7 @@ fallbacks = [
     w for w in caught if issubclass(w.category, KernelFallbackWarning)
 ]
 assert len(fallbacks) == 1, f"expected one fallback warning: {fallbacks}"
-assert "repro[compiled]" in str(fallbacks[0].message)
+assert "no C compiler" in str(fallbacks[0].message)
 
 reference = run_survival(
     setup, "uDEB", None, window_s=60.0, record_every=10,
@@ -444,21 +538,34 @@ print("FALLBACK-OK")
 """
 
 
-def test_compiled_without_provider_warns_once_and_matches_numpy() -> None:
-    """Satellite: with every provider disabled, ``kernels="compiled"``
-    must warn exactly once per process and produce results bit-identical
-    to the numpy tier. Runs in a subprocess because provider resolution
-    and the warn-once latch are process-global."""
-    repo = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["REPRO_KERNELS_DISABLE"] = "numba,cc"
+def _child_env(**overrides: str) -> "dict[str, str]":
+    """This process's environment plus ``overrides``, with the library
+    importable from a child interpreter."""
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(repo / "src"), str(repo)]
+        [str(REPO / "src"), str(REPO)]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
+def test_compiled_without_provider_warns_once_and_matches_numpy(
+    tmp_path,
+) -> None:
+    """With no C compiler on ``PATH`` and an empty kernel cache,
+    ``kernels="compiled"`` must warn exactly once per process and
+    produce results bit-identical to the numpy tier. Runs in a
+    subprocess because provider resolution and the warn-once latch are
+    process-global."""
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "cache").mkdir()
+    env = _child_env(
+        PATH=str(tmp_path / "bin"),
+        REPRO_KERNEL_CACHE=str(tmp_path / "cache"),
     )
     proc = subprocess.run(
         [sys.executable, "-c", _FALLBACK_CHILD],
-        cwd=repo,
+        cwd=REPO,
         env=env,
         capture_output=True,
         text=True,
@@ -468,3 +575,26 @@ def test_compiled_without_provider_warns_once_and_matches_numpy() -> None:
         f"fallback child failed:\n{proc.stdout}\n{proc.stderr}"
     )
     assert "FALLBACK-OK" in proc.stdout
+
+
+@pytest.mark.skipif(
+    not HAVE_PROVIDER, reason="no compiled kernel provider available"
+)
+def test_concurrent_cold_builds_all_load(tmp_path) -> None:
+    """Several builders on one cold cache (sweep workers starting
+    together): every one loads the kernels, and one library and no
+    scratch file are left behind."""
+    env = _child_env(REPRO_KERNEL_CACHE=str(tmp_path))
+    child = "from repro.kernels import active_provider as a; print(a())"
+    builders = [
+        subprocess.Popen(
+            [sys.executable, "-c", child], cwd=REPO, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(3)
+    ]
+    for builder in builders:
+        out, err = builder.communicate(timeout=300)
+        assert builder.returncode == 0, err
+        assert out.strip() == "cc", (out, err)
+    assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
