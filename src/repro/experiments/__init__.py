@@ -37,7 +37,6 @@ from .sweep import (
     SweepCell,
     SweepResult,
     cell_fingerprint,
-    derive_cell_seed,
     survival_grid_cells,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "SweepResult",
     "build_attacker",
     "cell_fingerprint",
-    "derive_cell_seed",
     "fig05_soc_variation",
     "fig06_two_phase",
     "fig07_effective_attack",

@@ -221,8 +221,8 @@ def run_survival_cohort(
     Every member shares the setup's config and trace; each differs only
     in scheme, scenario and seed. Results come back in member order and
     are bit-identical per cell to the equivalent :func:`run_survival`
-    calls with ``backend="vectorized"``, ``lead_in_s=0`` and no fault
-    plan (proven by ``tests/test_cohort.py``).
+    calls with ``backend="vectorized"`` and no fault plan (proven by
+    ``tests/test_cohort.py``).
 
     ``expand_prefix`` (default on) runs the shared pre-onset window as
     a narrow one-cell-per-scheme cohort and tiles it out at the first
@@ -240,6 +240,11 @@ def run_survival_cohort(
                 "cohort cells use the flat topology; PDU placements need "
                 "the per-cell path"
             )
+    start_s = setup.attack_time_s
+    end_s = start_s + window_s
+    # The cohort copies its trace once per cell, so it gets only the
+    # epochs this run reads.
+    trace = _run_epochs(setup.trace, start_s, end_s)
     cells = [
         CohortCell(
             scheme=member.scheme,
@@ -255,21 +260,31 @@ def run_survival_cohort(
     if expand_prefix:
         return run_cohort_expanded(
             setup.config,
-            setup.trace,
+            trace,
             cells,
-            setup.attack_time_s,
-            setup.attack_time_s + window_s,
+            start_s,
+            end_s,
             dt,
             record_every=record_every,
             kernels=kernels,
         )
-    sim = CohortSimulation(setup.config, setup.trace, cells, kernels=kernels)
-    return sim.run_cohort(
-        setup.attack_time_s,
-        setup.attack_time_s + window_s,
-        dt,
-        record_every=record_every,
-    )
+    sim = CohortSimulation(setup.config, trace, cells, kernels=kernels)
+    return sim.run_cohort(start_s, end_s, dt, record_every=record_every)
+
+
+def _run_epochs(
+    trace: UtilizationTrace, start_s: float, end_s: float
+) -> UtilizationTrace:
+    """The samples of ``trace`` a run over ``[start_s, end_s)`` reads.
+
+    :meth:`UtilizationTrace.at` holds the first sample before the trace
+    and the last one after it, so clamping the window into the trace
+    changes no value the run sees.
+    """
+    last_s = trace.end_s - trace.interval_s
+    start = min(max(start_s, trace.start_s), last_s)
+    end = min(max(end_s, start + trace.interval_s), trace.end_s)
+    return trace.window(start, end)
 
 
 def run_survival(
@@ -280,7 +295,6 @@ def run_survival(
     dt: float = ATTACK_DT_S,
     seed: int = 7,
     record_every: int = 40,
-    lead_in_s: float = 0.0,
     backend: str = "vectorized",
     fault_plan: "FaultPlan | None" = None,
     grid_plan: "GridPlan | None" = None,
@@ -291,9 +305,7 @@ def run_survival(
 
     The observation window is declared as an attack window on a
     :class:`~repro.sim.runner.Runner`, so the whole window runs at the
-    fine step ``dt``. A positive ``lead_in_s`` prepends a coarse
-    trace-interval warm-up segment before the attack (battery, breaker
-    and scheme state carry across the boundary).
+    fine step ``dt``.
 
     Args:
         setup: Calibrated experiment setup.
@@ -302,11 +314,7 @@ def run_survival(
     """
     if scheme_name not in SCHEMES:
         raise SimulationError(f"unknown scheme: {scheme_name!r}")
-    if lead_in_s < 0.0:
-        raise SimulationError("lead_in_s must be non-negative")
     if backend == "cohort":
-        if lead_in_s != 0.0:
-            raise SimulationError("cohort runs do not support lead-in")
         if fault_plan is not None:
             raise SimulationError("cohort runs do not support fault plans")
         return run_survival_cohort(
@@ -343,7 +351,7 @@ def run_survival(
         fine_record_every=record_every,
     )
     return runner.run(
-        start_s=setup.attack_time_s - lead_in_s,
+        start_s=setup.attack_time_s,
         end_s=setup.attack_time_s + window_s,
         attack_windows=[
             AttackWindow(setup.attack_time_s, setup.attack_time_s + window_s)

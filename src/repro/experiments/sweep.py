@@ -166,38 +166,22 @@ class SweepCell:
             raise ConfigError("sweep cell grid_plan must be a GridPlan")
 
 
-def derive_cell_seed(base_seed: int, *labels: str) -> int:
-    """A deterministic, platform-stable per-cell seed.
-
-    Hashes the labels (scenario and scheme names, typically) with the
-    base seed so each cell gets an independent but reproducible stream —
-    identical across processes, platforms and Python hash randomisation.
-    """
-    digest = hashlib.sha256(
-        ("\x1f".join((str(base_seed), *labels))).encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:4], "big")
-
-
 def survival_grid_cells(
     scenarios: "Iterable[AttackScenario]",
     schemes: "Iterable[str]",
     window_s: float,
     dt: float = ATTACK_DT_S,
     seed: int = 7,
-    per_cell_seeds: bool = False,
     backend: str = "vectorized",
     fast_forward: bool = False,
     kernels: str = "numpy",
 ) -> "list[SweepCell]":
     """The Fig.-15-style grid: scenarios as rows, schemes as columns.
 
+    Every cell shares ``seed``, which keeps the attacker's placement
+    lottery identical across schemes so the grid isolates the defense.
+
     Args:
-        per_cell_seeds: Derive an independent seed per cell via
-            :func:`derive_cell_seed` instead of sharing ``seed``
-            everywhere (the paper-reproduction default, which keeps the
-            attacker's placement lottery identical across schemes so the
-            grid isolates the defense).
         backend: Physics implementation for every cell.
         fast_forward: Enable quiescent-segment fast-forward in every
             cell (bit-identical results either way).
@@ -205,11 +189,6 @@ def survival_grid_cells(
     cells = []
     for scenario in scenarios:
         for scheme in schemes:
-            cell_seed = (
-                derive_cell_seed(seed, scenario.name, scheme)
-                if per_cell_seeds
-                else seed
-            )
             cells.append(
                 SweepCell(
                     row=scenario.name,
@@ -218,7 +197,7 @@ def survival_grid_cells(
                     scenario=scenario,
                     window_s=window_s,
                     dt=dt,
-                    seed=cell_seed,
+                    seed=seed,
                     backend=backend,
                     fast_forward=fast_forward,
                     kernels=kernels,
@@ -657,9 +636,11 @@ class ScenarioSweep:
         batched cells are bit-identical per cell to single-cell cohort
         runs (both proven against ``backend="vectorized"`` by
         ``tests/test_cohort.py``), so grouping never changes bits. If a
-        batch fails for any reason its cells stay pending and fall back
-        to the hardened per-cell path, where failures surface with the
-        usual retry/:class:`CellFailure` semantics.
+        batch raises a :class:`~repro.errors.ReproError` its cells stay
+        pending and fall back to the hardened per-cell path, where
+        failures surface with the usual retry/:class:`CellFailure`
+        semantics. Any other exception is a defect in the stacking
+        itself and propagates.
 
         Returns the still-pending indices (cells not resolved here).
         """
@@ -700,10 +681,11 @@ class ScenarioSweep:
                     dt=first.dt,
                     kernels=first.kernels,
                 )
-            except Exception:
-                # Batch-level failure: leave every member pending so the
-                # per-cell path reproduces (and properly classifies) the
-                # error, or succeeds where the batch could not.
+            except ReproError:
+                # The cohort refused or failed the batch: leave every
+                # member pending so the per-cell path reproduces (and
+                # properly classifies) the error, or succeeds where the
+                # batch could not.
                 continue
             for index, result in zip(members_idx, results):
                 outcome = _Outcome(

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..plans import PlanInjector
 from ..sim.events import FaultCleared, FaultInjected
 from .spec import (
     BatteryFade,
@@ -51,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = ["FaultInjector"]
 
 
-class FaultInjector:
+class FaultInjector(PlanInjector):
     """Per-simulation fault machinery driven by one :class:`FaultPlan`.
 
     Args:
@@ -60,12 +61,7 @@ class FaultInjector:
     """
 
     def __init__(self, plan: FaultPlan, sim: "DataCenterSimulation") -> None:
-        racks = sim.cluster.racks
-        plan.validate_for(racks)
-        self._plan = plan
-        self._sim = sim
-        self._racks = racks
-        self._active = [False] * len(plan.specs)
+        super().__init__(plan, sim)
         seed = plan.seed if plan.seed is not None else sim.config.seed
         base_seed = 0 if seed is None else int(seed)
         # One independent, position-keyed stream per noise spec so that
@@ -89,28 +85,14 @@ class FaultInjector:
 
     def stage_faults(self, ctx: "StepContext") -> None:
         """Process fault-window edges for this step (pipeline stage)."""
-        edges = False
-        for index, spec in enumerate(self._plan.specs):
-            active = spec.active_at(ctx.time_s)
-            if active == self._active[index]:
-                continue
-            edges = True
-            self._active[index] = active
-            racks = spec.rack_tuple(self._racks)
-            if active:
-                self._on_activate(index, spec, ctx.time_s)
-                self._sim.bus.publish(FaultInjected(
-                    time_s=ctx.time_s, fault=spec.kind, racks=racks,
-                ))
-            else:
-                self._on_clear(index)
-                self._sim.bus.publish(FaultCleared(
-                    time_s=ctx.time_s, fault=spec.kind, racks=racks,
-                ))
-        if edges:
+        if self._walk_edges(ctx.time_s):
             self._recompose()
 
-    def _on_activate(self, index: int, spec, time_s: float) -> None:
+    def _edge_event(self, started, time_s, kind, racks):
+        event = FaultInjected if started else FaultCleared
+        return event(time_s=time_s, fault=kind, racks=racks)
+
+    def _on_rise(self, index: int, spec, time_s: float) -> None:
         """Rising edge: apply one-shot damage / capture sensor state."""
         if isinstance(spec, BatteryFade):
             fade = np.zeros(self._racks)
@@ -123,7 +105,7 @@ class FaultInjector:
                 self._sim.scheme.fleet.soc_vector(), dtype=float, copy=True
             )
 
-    def _on_clear(self, index: int) -> None:
+    def _on_fall(self, index: int) -> None:
         """Falling edge: drop per-spec captured state."""
         self._frozen.pop(index, None)
 
@@ -234,27 +216,6 @@ class FaultInjector:
     # Introspection                                                       #
     # ------------------------------------------------------------------ #
 
-    @property
-    def plan(self) -> FaultPlan:
-        """The driving plan."""
-        return self._plan
-
-    @property
-    def any_active(self) -> bool:
-        """True while any spec is in force."""
-        return any(self._active)
-
-    def next_edge_after(self, time_s: float) -> float:
-        """Earliest fault edge strictly after ``time_s`` (``inf`` if none).
-
-        Includes one-shot ``at_s`` instants, unlike the runner-facing
-        :meth:`FaultPlan.windows`.
-        """
-        upcoming = [
-            t for t in self._plan.edge_times() if t > time_s + 1e-9
-        ]
-        return min(upcoming, default=float("inf"))
-
     def ff_state(self) -> dict:
         """Evolving state for the fast-forward fingerprint.
 
@@ -273,9 +234,3 @@ class FaultInjector:
                 for k in sorted(self._rngs)
             },
         }
-
-    def active_specs(self) -> "tuple[int, ...]":
-        """Positions of currently-active specs (diagnostics/tests)."""
-        return tuple(
-            index for index, on in enumerate(self._active) if on
-        )

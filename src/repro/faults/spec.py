@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..errors import ConfigError, FaultInjectionError
+from ..errors import FaultInjectionError, ReproError
+from ..plans import WindowedPlan, WindowedSpec, reject_overlapping_windows
 
 __all__ = [
     "BatteryFade",
@@ -36,104 +37,18 @@ __all__ = [
 ]
 
 
-def reject_overlapping_windows(specs, plan_name: str) -> None:
-    """Reject same-kind windowed specs whose windows and targets overlap.
-
-    Two windowed specs of the same ``kind`` that are simultaneously
-    active on a shared rack would silently compose last-writer-wins (a
-    frozen SOC vector, a sag depth) instead of doing anything physical.
-    Such plans are almost always authoring mistakes, so they fail
-    eagerly with a :class:`~repro.errors.ConfigError` naming both
-    windows. One-shot specs are exempt (no duration to overlap), and
-    ``racks=None`` (every rack) conflicts with any target set.
-
-    Shared by :class:`FaultPlan` and :class:`~repro.grid.spec.GridPlan`.
-    """
-    windowed = [
-        (index, spec)
-        for index, spec in enumerate(specs)
-        if not spec.one_shot
-    ]
-    for position, (i, a) in enumerate(windowed):
-        for j, b in windowed[position + 1:]:
-            if a.kind != b.kind:
-                continue
-            if not (a.start_s < b.end_s and b.start_s < a.end_s):
-                continue
-            racks_a = a.racks
-            racks_b = b.racks
-            if (
-                racks_a is not None
-                and racks_b is not None
-                and not set(racks_a) & set(racks_b)
-            ):
-                continue
-            raise ConfigError(
-                f"{plan_name}: {a.kind} windows "
-                f"[{a.start_s:g}, {a.end_s:g}) (spec {i}) and "
-                f"[{b.start_s:g}, {b.end_s:g}) (spec {j}) overlap on "
-                "shared racks — overlapping same-target windows compose "
-                "last-writer-wins; merge them into one spec"
-            )
-
-
-def _normalised_racks(racks) -> "tuple[int, ...] | None":
-    """Sorted unique rack tuple, or ``None`` for "every rack"."""
-    if racks is None:
-        return None
-    normalised = tuple(sorted({int(r) for r in racks}))
-    if not normalised:
-        raise FaultInjectionError("racks=() targets nothing; use None for all")
-    if normalised[0] < 0:
-        raise FaultInjectionError("rack indices must be non-negative")
-    return normalised
-
-
-class FaultSpec:
+class FaultSpec(WindowedSpec):
     """Base class for one declarative fault.
 
     Concrete specs are frozen dataclasses carrying ``start_s``/``end_s``
     (or ``at_s`` for one-shots) plus a ``racks`` tuple (``None`` = every
     rack). ``kind`` is the stable label used in :class:`FaultEvent`
-    streams, journals and reports.
+    streams, journals and reports. Malformed specs raise
+    :class:`~repro.errors.FaultInjectionError`.
     """
 
     kind: ClassVar[str] = "fault"
-    #: One-shot faults fire once at ``at_s`` and never clear.
-    one_shot: ClassVar[bool] = False
-
-    def active_at(self, time_s: float) -> bool:
-        """Whether the fault is in force at ``time_s``."""
-        if self.one_shot:
-            return time_s >= self.at_s  # type: ignore[attr-defined]
-        return self.start_s <= time_s < self.end_s  # type: ignore[attr-defined]
-
-    def rack_tuple(self, racks: int) -> "tuple[int, ...]":
-        """The concrete racks this spec touches in an ``racks``-wide cluster."""
-        if self.racks is None:  # type: ignore[attr-defined]
-            return tuple(range(racks))
-        return self.racks  # type: ignore[attr-defined]
-
-    def validate_for(self, racks: int) -> None:
-        """Check the spec fits a cluster of ``racks`` racks."""
-        targeted = self.racks  # type: ignore[attr-defined]
-        if targeted is not None and targeted[-1] >= racks:
-            raise FaultInjectionError(
-                f"{self.kind}: rack {targeted[-1]} outside a "
-                f"{racks}-rack cluster"
-            )
-
-    def _check_window(self) -> None:
-        if self.one_shot:
-            if self.at_s < 0.0:  # type: ignore[attr-defined]
-                raise FaultInjectionError(f"{self.kind}: at_s must be >= 0")
-            return
-        start = self.start_s  # type: ignore[attr-defined]
-        end = self.end_s  # type: ignore[attr-defined]
-        if not end > start:
-            raise FaultInjectionError(
-                f"{self.kind}: fault window must satisfy end_s > start_s"
-            )
+    error: ClassVar[type[ReproError]] = FaultInjectionError
 
 
 @dataclass(frozen=True)
@@ -154,10 +69,6 @@ class TelemetryDropout(FaultSpec):
     start_s: float
     end_s: float
     racks: "tuple[int, ...] | None" = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
 
 
 @dataclass(frozen=True)
@@ -182,8 +93,7 @@ class TelemetryNoise(FaultSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if self.sigma_w <= 0.0:
             raise FaultInjectionError("telemetry-noise: sigma_w must be > 0")
 
@@ -207,8 +117,7 @@ class SocBias(FaultSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if not -1.0 <= self.bias <= 1.0:
             raise FaultInjectionError("soc-bias: bias must be in [-1, 1]")
 
@@ -232,10 +141,6 @@ class SocFreeze(FaultSpec):
     end_s: float
     racks: "tuple[int, ...] | None" = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
-
 
 @dataclass(frozen=True)
 class VdebCommLoss(FaultSpec):
@@ -256,10 +161,6 @@ class VdebCommLoss(FaultSpec):
     start_s: float
     end_s: float
     racks: "tuple[int, ...] | None" = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
 
 
 @dataclass(frozen=True)
@@ -284,8 +185,7 @@ class BatteryFade(FaultSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if not 0.0 < self.fade < 1.0:
             raise FaultInjectionError("battery-fade: fade must be in (0, 1)")
 
@@ -315,10 +215,6 @@ class UdebStuckOpen(FaultSpec):
     end_s: float
     racks: "tuple[int, ...] | None" = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
-
 
 @dataclass(frozen=True)
 class BreakerMisrating(FaultSpec):
@@ -346,8 +242,7 @@ class BreakerMisrating(FaultSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if not 0.0 < self.factor <= 4.0:
             raise FaultInjectionError(
                 "breaker-misrating: factor must be in (0, 4]"
@@ -355,7 +250,7 @@ class BreakerMisrating(FaultSpec):
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(WindowedPlan):
     """An ordered, validated, picklable collection of fault specs.
 
     Spec order is semantic: fault events publish in spec order within a
@@ -367,52 +262,8 @@ class FaultPlan:
             defers to the simulation's configured seed.
     """
 
+    spec_type: ClassVar[type[WindowedSpec]] = FaultSpec
+    plan_name: ClassVar[str] = "fault plan"
+
     specs: "tuple[FaultSpec, ...]" = field(default=())
     seed: "int | None" = None
-
-    def __post_init__(self) -> None:
-        specs = tuple(self.specs)
-        for spec in specs:
-            if not isinstance(spec, FaultSpec):
-                raise FaultInjectionError(
-                    f"fault plan entries must be FaultSpecs, got {spec!r}"
-                )
-        reject_overlapping_windows(specs, "fault plan")
-        object.__setattr__(self, "specs", specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def validate_for(self, racks: int) -> None:
-        """Check every spec fits a cluster of ``racks`` racks."""
-        for spec in self.specs:
-            spec.validate_for(racks)
-
-    def edge_times(self) -> "tuple[float, ...]":
-        """Every instant the set of active specs can change, sorted.
-
-        Window starts, window ends, *and* one-shot ``at_s`` instants
-        (which :meth:`windows` deliberately excludes). The fast-forward
-        guard refuses to jump across any of these.
-        """
-        times: "set[float]" = set()
-        for spec in self.specs:
-            if spec.one_shot:
-                times.add(spec.at_s)  # type: ignore[attr-defined]
-            else:
-                times.add(spec.start_s)  # type: ignore[attr-defined]
-                times.add(spec.end_s)  # type: ignore[attr-defined]
-        return tuple(sorted(times))
-
-    def windows(self) -> "list[tuple[float, float]]":
-        """The windowed specs' ``(start_s, end_s)`` pairs, in spec order.
-
-        One-shot specs are excluded — they have no duration. Used by the
-        runner to refine the step schedule around fault activity, the
-        same way attack windows are.
-        """
-        return [
-            (spec.start_s, spec.end_s)  # type: ignore[attr-defined]
-            for spec in self.specs
-            if not spec.one_shot
-        ]

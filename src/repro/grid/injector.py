@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..plans import PlanInjector
 from ..sim.events import GridEventCleared, GridEventStarted
 from .spec import (
     FrequencyRegulationDuty,
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = ["GridInjector"]
 
 
-class GridInjector:
+class GridInjector(PlanInjector):
     """Per-simulation grid machinery driven by one :class:`GridPlan`.
 
     Args:
@@ -52,12 +53,7 @@ class GridInjector:
     """
 
     def __init__(self, plan: GridPlan, sim: "DataCenterSimulation") -> None:
-        racks = sim.cluster.racks
-        plan.validate_for(racks)
-        self._plan = plan
-        self._sim = sim
-        self._racks = racks
-        self._active = [False] * len(plan.specs)
+        super().__init__(plan, sim)
         # Composed continuous state, rebuilt on any window edge.
         self._feed_factor: "np.ndarray | None" = None
         self._facility_factor = 1.0
@@ -73,26 +69,14 @@ class GridInjector:
 
     def stage_grid(self, ctx: "StepContext") -> None:
         """Process grid-window edges for this step (pipeline stage)."""
-        edges = False
-        for index, spec in enumerate(self._plan.specs):
-            active = spec.active_at(ctx.time_s)
-            if active == self._active[index]:
-                continue
-            edges = True
-            self._active[index] = active
-            racks = spec.rack_tuple(self._racks)
-            if active:
-                self._sim.bus.publish(GridEventStarted(
-                    time_s=ctx.time_s, event=spec.kind, racks=racks,
-                ))
-            else:
-                self._sim.bus.publish(GridEventCleared(
-                    time_s=ctx.time_s, event=spec.kind, racks=racks,
-                ))
-        if edges:
+        if self._walk_edges(ctx.time_s):
             self._recompose()
         if self._freg_active:
             self._update_freg(ctx.time_s)
+
+    def _edge_event(self, started, time_s, kind, racks):
+        event = GridEventStarted if started else GridEventCleared
+        return event(time_s=time_s, event=kind, racks=racks)
 
     def _recompose(self) -> None:
         """Rebuild the composed grid state from the active specs."""
@@ -179,23 +163,6 @@ class GridInjector:
     # Introspection                                                       #
     # ------------------------------------------------------------------ #
 
-    @property
-    def plan(self) -> GridPlan:
-        """The driving plan."""
-        return self._plan
-
-    @property
-    def any_active(self) -> bool:
-        """True while any grid window is open."""
-        return any(self._active)
-
-    def next_edge_after(self, time_s: float) -> float:
-        """Earliest grid edge strictly after ``time_s`` (``inf`` if none)."""
-        upcoming = [
-            t for t in self._plan.edge_times() if t > time_s + 1e-9
-        ]
-        return min(upcoming, default=float("inf"))
-
     def ff_state(self) -> dict:
         """Evolving state for the fast-forward fingerprint.
 
@@ -205,9 +172,3 @@ class GridInjector:
         fingerprinted mid-flight).
         """
         return {"active": np.array(self._active, dtype=bool)}
-
-    def active_specs(self) -> "tuple[int, ...]":
-        """Positions of currently-active specs (diagnostics/tests)."""
-        return tuple(
-            index for index, on in enumerate(self._active) if on
-        )

@@ -6,7 +6,8 @@ fault windows are: each spec names a time window, the racks it touches
 (``None`` = the whole facility), and its event-specific parameters. The
 :class:`~repro.grid.injector.GridInjector` turns the plan into per-step
 pipeline actions and typed :class:`~repro.sim.events.GridEvent`
-publications, exactly mirroring the fault machinery (PR 4).
+publications through the windowed-plan core in :mod:`repro.plans`, which
+the fault machinery shares.
 
 Plans are deliberately dumb data — floats, ints and tuples, no
 simulator handles, no numpy arrays, no randomness — so a plan can ride
@@ -35,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..errors import ConfigError
-from ..faults.spec import _normalised_racks, reject_overlapping_windows
+from ..errors import ConfigError, ReproError
+from ..plans import WindowedPlan, WindowedSpec
 
 __all__ = [
     "FrequencyRegulationDuty",
@@ -47,49 +48,19 @@ __all__ = [
 ]
 
 
-class GridEventSpec:
+class GridEventSpec(WindowedSpec):
     """Base class for one declarative grid event.
 
     Concrete specs are frozen dataclasses carrying ``start_s``/``end_s``
     plus a ``racks`` tuple (``None`` = the whole facility). ``kind`` is
     the stable label used in :class:`~repro.sim.events.GridEvent`
     streams, journals and reports. Grid events are always windowed —
-    there is no one-shot grid damage — but ``one_shot`` is kept as a
-    class attribute so the shared window/overlap validation helpers
-    treat fault and grid specs uniformly.
+    there is no one-shot grid damage. Malformed specs raise
+    :class:`~repro.errors.ConfigError`.
     """
 
     kind: ClassVar[str] = "grid-event"
-    one_shot: ClassVar[bool] = False
-
-    def active_at(self, time_s: float) -> bool:
-        """Whether the event is in force at ``time_s``."""
-        return self.start_s <= time_s < self.end_s  # type: ignore[attr-defined]
-
-    def rack_tuple(self, racks: int) -> "tuple[int, ...]":
-        """The concrete racks this spec touches in a ``racks``-wide cluster."""
-        if self.racks is None:  # type: ignore[attr-defined]
-            return tuple(range(racks))
-        return self.racks  # type: ignore[attr-defined]
-
-    def validate_for(self, racks: int) -> None:
-        """Check the spec fits a cluster of ``racks`` racks."""
-        targeted = self.racks  # type: ignore[attr-defined]
-        if targeted is not None and targeted[-1] >= racks:
-            raise ConfigError(
-                f"{self.kind}: rack {targeted[-1]} outside a "
-                f"{racks}-rack cluster"
-            )
-
-    def _check_window(self) -> None:
-        start = self.start_s  # type: ignore[attr-defined]
-        end = self.end_s  # type: ignore[attr-defined]
-        if start < 0.0:
-            raise ConfigError(f"{self.kind}: start_s must be >= 0")
-        if not end > start:
-            raise ConfigError(
-                f"{self.kind}: grid window must satisfy end_s > start_s"
-            )
+    error: ClassVar[type[ReproError]] = ConfigError
 
 
 @dataclass(frozen=True)
@@ -121,8 +92,7 @@ class VoltageSag(GridEventSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if not 0.0 < self.depth < 1.0:
             raise ConfigError("voltage-sag: depth must be in (0, 1)")
 
@@ -152,7 +122,7 @@ class UtilityBrownout(GridEventSpec):
     racks: ClassVar[None] = None
 
     def __post_init__(self) -> None:
-        self._check_window()
+        super().__post_init__()
         if not 0.0 < self.derate < 1.0:
             raise ConfigError("utility-brownout: derate must be in (0, 1)")
 
@@ -190,8 +160,7 @@ class FrequencyRegulationDuty(GridEventSpec):
     racks: "tuple[int, ...] | None" = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "racks", _normalised_racks(self.racks))
-        self._check_window()
+        super().__post_init__()
         if self.power_w <= 0.0:
             raise ConfigError("freq-regulation: power_w must be positive")
         if self.period_s <= 0.0:
@@ -218,7 +187,7 @@ class FrequencyRegulationDuty(GridEventSpec):
 
 
 @dataclass(frozen=True)
-class GridPlan:
+class GridPlan(WindowedPlan):
     """An ordered, validated, picklable collection of grid-event specs.
 
     Spec order is semantic: grid events publish in spec order within a
@@ -228,50 +197,10 @@ class GridPlan:
         specs: The grid-event specs, applied in order.
     """
 
+    spec_type: ClassVar[type[WindowedSpec]] = GridEventSpec
+    plan_name: ClassVar[str] = "grid plan"
+
     specs: "tuple[GridEventSpec, ...]" = field(default=())
-
-    def __post_init__(self) -> None:
-        specs = tuple(self.specs)
-        for spec in specs:
-            if not isinstance(spec, GridEventSpec):
-                raise ConfigError(
-                    f"grid plan entries must be GridEventSpecs, got {spec!r}"
-                )
-        reject_overlapping_windows(specs, "grid plan")
-        object.__setattr__(self, "specs", specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def validate_for(self, racks: int) -> None:
-        """Check every spec fits a cluster of ``racks`` racks."""
-        for spec in self.specs:
-            spec.validate_for(racks)
-
-    def edge_times(self) -> "tuple[float, ...]":
-        """Every window start/end, sorted — the fast-forward guard set.
-
-        Duty-cycle phase flips inside a regulation window are *not*
-        edges here: the injector counts an open window as active, and
-        fast-forward never jumps while anything is active, so phases
-        can never be leapfrogged.
-        """
-        times: "set[float]" = set()
-        for spec in self.specs:
-            times.add(spec.start_s)  # type: ignore[attr-defined]
-            times.add(spec.end_s)  # type: ignore[attr-defined]
-        return tuple(sorted(times))
-
-    def windows(self) -> "list[tuple[float, float]]":
-        """The specs' ``(start_s, end_s)`` pairs, in spec order.
-
-        Used by the runner to refine the step schedule around grid
-        activity, the same way attack and fault windows are.
-        """
-        return [
-            (spec.start_s, spec.end_s)  # type: ignore[attr-defined]
-            for spec in self.specs
-        ]
 
     def label(self) -> str:
         """A compact deterministic identity label for keys and journals.

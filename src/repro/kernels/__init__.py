@@ -5,8 +5,9 @@ steady-drain inner loop, breaker-bank thermal steps) into single
 compiled calls over the flat cohort arrays. Its one provider, ``cc``,
 compiles the C source in :mod:`repro.kernels.c_src` with the machine's
 C compiler and loads it through ctypes. When that cannot work — no C
-compiler on ``PATH``, the compiler exits non-zero, or writing the cache
-or loading the shared object fails — ``kernels="compiled"`` degrades to
+compiler on ``PATH``, the compiler exits non-zero, the default cache
+directory is not private to this user, or writing the cache or loading
+the shared object fails — ``kernels="compiled"`` degrades to
 the numpy tier with a single :class:`KernelFallbackWarning` naming the
 cause. Any other error while loading the provider propagates.
 

@@ -2,7 +2,7 @@
 
 The compiled tier's only provider. The shared object is cached under a
 filename hashing the compiler path, the flags and the source, so the
-compile happens once per toolchain and source revision per machine.
+compile happens once per toolchain and source revision per user.
 Flags are chosen for bit-identity, not raw speed: ``-O2`` with
 ``-ffp-contract=off`` (no FMA contraction), never ``-ffast-math`` or
 ``-march=native``.
@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from types import SimpleNamespace
@@ -76,16 +77,44 @@ def _cache_name(compiler: str) -> str:
     return f"repro_kernels_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
 
 
+def _cache_dir() -> str:
+    """The directory holding the shared object, created if missing.
+
+    An explicit ``REPRO_KERNEL_CACHE`` is used as given. The default,
+    ``<tempdir>/repro-kernels-<uid>``, sits in a directory every user
+    can write, and any library found in it is loaded and run, so it
+    must be a real directory owned by this user that no one else can
+    write; otherwise the provider is unavailable.
+    """
+    explicit = os.environ.get("REPRO_KERNEL_CACHE")
+    if explicit:
+        os.makedirs(explicit, exist_ok=True)
+        return explicit
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    info = os.lstat(path)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != uid
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        raise ProviderUnavailable(
+            f"the kernel cache {path} is not private: it must be a "
+            f"directory owned by uid {uid} that no other user can write"
+        )
+    return path
+
+
 def _build() -> str:
     """Compile (or reuse) the kernel shared object; return its path."""
     compiler = _compiler()
     if compiler is None:
         raise ProviderUnavailable("no C compiler (cc, gcc or clang) on PATH")
-    cache_dir = os.environ.get("REPRO_KERNEL_CACHE") or os.path.join(
-        tempfile.gettempdir(), "repro-kernels"
-    )
-    os.makedirs(cache_dir, exist_ok=True)
-    stem = os.path.join(cache_dir, _cache_name(compiler))
+    stem = os.path.join(_cache_dir(), _cache_name(compiler))
     so_path = f"{stem}.so"
     if os.path.exists(so_path):
         return so_path
@@ -158,7 +187,8 @@ def _wrap(name, fn, argtypes):
 
 def load() -> SimpleNamespace:
     """Build/load the library; raises :class:`ProviderUnavailable` when
-    there is no compiler, the build fails, or an ``OSError`` occurs."""
+    there is no compiler, the build fails, the default cache is not
+    private, or an ``OSError`` occurs."""
     global _LOADED
     if _LOADED is None:
         try:

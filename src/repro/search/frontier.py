@@ -286,7 +286,8 @@ class FrontierSearch:
             full-window round, no pruning (the falsification suite's
             reference configuration).
         use_cohort: Batch flat candidates (no PDU placement) through the
-            cohort backend. Off, every candidate runs through the
+            cohort backend when the setup has a flat (single-PDU)
+            topology. Off, every candidate runs through the
             snapshot-fork or straight vectorized path instead; the
             frontier is bit-identical either way.
         bus: Optional event bus receiving
@@ -428,11 +429,17 @@ class FrontierSearch:
         active: "Sequence[int]",
         end_s: float,
     ) -> "dict[int, SimResult]":
-        """All active candidates over one probe horizon, batched."""
+        """All active candidates over one probe horizon, batched.
+
+        The cohort stacks only flat-topology cells, so placement
+        candidates, and every candidate of a multi-PDU setup, fork or
+        run straight instead.
+        """
+        stack = (
+            self._use_cohort and self._setup.config.cluster.topology is None
+        )
         flat = [
-            i
-            for i in active
-            if self._use_cohort and candidates[i].placement is None
+            i for i in active if stack and candidates[i].placement is None
         ]
         rest = [i for i in active if i not in set(flat)]
         results: "dict[int, SimResult]" = {}

@@ -532,32 +532,19 @@ class DataCenterSimulation:
             int(r) for r in np.unique(self._server_rack_index[nodes])
         )
 
-    def fault_windows(self) -> "list[AttackWindow]":
-        """Windows of the fault plan, as fine-step schedule refinements.
+    def plan_windows(self) -> "list[AttackWindow]":
+        """Windows of the fault and grid plans, as fine-step refinements.
 
-        Feed these to :func:`repro.sim.runner.build_schedule` alongside
-        the attack windows so fault edges land on sub-second steps.
-        One-shot faults (battery fade) have no window.
+        The runner merges these with the attack windows so fault edges
+        and grid disturbances (duty-cycle phases inside regulation
+        windows too) land on sub-second steps. One-shot faults (battery
+        fade) have no window.
         """
-        if self._injector is None:
-            return []
         return [
             AttackWindow(start_s=start, end_s=end)
-            for start, end in self._injector.plan.windows()
-        ]
-
-    def grid_windows(self) -> "list[AttackWindow]":
-        """Windows of the grid plan, as fine-step schedule refinements.
-
-        The runner merges these with the attack and fault windows so
-        grid edges (and duty-cycle phases inside regulation windows)
-        land on sub-second steps.
-        """
-        if self._grid is None:
-            return []
-        return [
-            AttackWindow(start_s=start, end_s=end)
-            for start, end in self._grid.plan.windows()
+            for injector in (self._injector, self._grid)
+            if injector is not None
+            for start, end in injector.plan.windows()
         ]
 
     def set_breaker_derate(self, derate: "np.ndarray | None") -> None:

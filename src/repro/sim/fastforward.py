@@ -333,29 +333,21 @@ class SegmentFastForward:
             # (and everything after) executes it normally.
             onset = sim.attacker.driver.config.start_s
             k = min(k, int(math.floor((onset - time_s) / block_s + 1e-9)))
-        injector = sim.fault_injector
-        if injector is not None:
+        for injector in (sim.fault_injector, sim.grid_injector):
+            if injector is None:
+                continue
+            # Hard guard: quiescent replay never leapfrogs a fault or
+            # grid window. An open window refuses outright (noise
+            # streams advance and duty phases flip inside it); a future
+            # edge caps the jump. Probe from one step back: an edge
+            # landing exactly on the current step has not been applied
+            # yet (the injector stages run after this hook), so it must
+            # block the jump rather than slip past the strictly-after
+            # edge query.
             if injector.any_active:
                 self._stats.refused_jumps += 1
                 return 0
-            # Probe from one step back: an edge landing exactly on the
-            # current step has not been applied yet (the injector stage
-            # runs after this hook), so it must block the jump rather
-            # than slip past the strictly-after edge query.
             edge = injector.next_edge_after(time_s - dt)
-            if math.isfinite(edge):
-                k = min(k, int(math.floor((edge - time_s) / block_s + 1e-9)))
-        grid = getattr(sim, "grid_injector", None)
-        if grid is not None:
-            # Hard guard: quiescent replay must never leapfrog a grid
-            # window. An open window refuses outright (the duty phase
-            # flips inside it); a future edge caps the jump exactly the
-            # way fault edges do, probed from one step back for the
-            # same not-yet-applied-edge reason.
-            if grid.any_active:
-                self._stats.refused_jumps += 1
-                return 0
-            edge = grid.next_edge_after(time_s - dt)
             if math.isfinite(edge):
                 k = min(k, int(math.floor((edge - time_s) / block_s + 1e-9)))
         if sim.breakers.any_tripped:

@@ -197,18 +197,11 @@ class Runner:
         grid disturbances land on sub-second steps just like attack
         activity does.
         """
-        windows = list(attack_windows)
-        fault_windows = getattr(self._sim, "fault_windows", None)
-        if fault_windows is not None:
-            windows.extend(fault_windows())
-        grid_windows = getattr(self._sim, "grid_windows", None)
-        if grid_windows is not None:
-            windows.extend(grid_windows())
         return build_schedule(
             start_s,
             end_s,
             self._coarse_dt,
-            windows,
+            [*attack_windows, *self._sim.plan_windows()],
             fine_dt=self._fine_dt,
             coarse_record_every=self._coarse_record_every,
             fine_record_every=self._fine_record_every,

@@ -27,6 +27,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.attack.placement import PduPlacement
 from repro.attack.virus import VirusKind
+from repro.config import TopologyConfig
 from repro.errors import SearchError
 from repro.experiments.common import run_survival, standard_setup
 from repro.search import (
@@ -226,6 +228,38 @@ class TestDirectedFrontier:
                 assert outcome.survival_s == reference_metric(
                     candidate, "Conv", WINDOW_S
                 )
+
+    def test_multi_pdu_setup_leaves_the_cohort(self):
+        # The cohort stacks only flat topologies, so on a two-PDU setup
+        # flat candidates must fork or run straight like placement ones.
+        cluster = replace(
+            SETUP.config.cluster,
+            topology=TopologyConfig(racks_per_pdu=(11, 11)),
+        )
+        setup = replace(SETUP, config=replace(SETUP.config, cluster=cluster))
+        space = AttackSpace(
+            widths_s=(1.0,),
+            rates_per_min=(6.0,),
+            node_counts=(6,),
+            placements=(None, PduPlacement(mode="striped")),
+        )
+        searches = [
+            FrontierSearch(
+                setup, space, "Conv", window_s=WINDOW_S,
+                probe_fractions=(0.5,), use_cohort=use_cohort,
+            ).run()
+            for use_cohort in (True, False)
+        ]
+        assert searches[0].outcomes == searches[1].outcomes
+        for candidate, outcome in zip(
+            space.candidates(), searches[0].outcomes
+        ):
+            if outcome.status == "exact":
+                straight = run_survival(
+                    setup, "Conv", candidate.scenario(), window_s=WINDOW_S,
+                    seed=candidate.seed,
+                )
+                assert outcome.survival_s == straight.survival_or_window()
 
     def test_explicit_candidate_sequences_are_searchable(self):
         space = AttackSpace(

@@ -17,11 +17,14 @@ reference runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.attack.scenario import DENSE_ATTACK, SPARSE_ATTACK
+from repro.errors import SimulationError
 from repro.experiments.common import (
     CohortMember,
     run_survival,
@@ -29,6 +32,7 @@ from repro.experiments.common import (
     standard_setup,
 )
 from repro.experiments.sweep import ScenarioSweep, survival_grid_cells
+from repro.sim.cohort import CohortSimulation
 
 from .differential import (
     CohortGrid,
@@ -141,6 +145,48 @@ def test_expand_prefix_toggle_is_bit_identical() -> None:
         assert_results_identical(f"expanded cell {index}", a, b)
 
 
+@pytest.mark.parametrize(
+    "onset_s",
+    [SETUP.attack_time_s, SETUP.trace.end_s - 60.0, SETUP.trace.end_s + 30.0],
+    ids=["calibrated", "across-trace-end", "after-trace-end"],
+)
+def test_cohort_trace_spans_only_the_run(monkeypatch, onset_s) -> None:
+    """A cohort copies its trace once per cell, so it receives only the
+    epochs its run reads, and the cells still match per-cell runs on
+    the whole trace, also for runs that reach past the trace's end
+    (both hold the last sample there)."""
+    setup = replace(SETUP, attack_time_s=onset_s)
+    window_s = 120.0
+    received = []
+    original = CohortSimulation.__init__
+
+    def recording(self, config, trace, *args, **kwargs):
+        received.append(trace)
+        original(self, config, trace, *args, **kwargs)
+
+    monkeypatch.setattr(CohortSimulation, "__init__", recording)
+    dense = replace(DENSE_ATTACK, start_s=30.0, name="dense-late")
+    members = [
+        CohortMember(scheme=scheme, scenario=dense, seed=seed)
+        for scheme in ("PS", "uDEB")
+        for seed in (7, 11)
+    ]
+    batched = run_survival_cohort(
+        setup, members, window_s=window_s, record_every=10
+    )
+    interval = setup.trace.interval_s
+    assert received
+    for trace in received:
+        assert trace.start_s <= onset_s
+        assert trace.timestamps <= math.ceil(window_s / interval) + 1
+    for index, (member, result) in enumerate(zip(members, batched)):
+        reference = run_survival(
+            setup, member.scheme, member.scenario, window_s=window_s,
+            seed=member.seed, record_every=10, backend="vectorized",
+        )
+        assert_results_identical(f"cell {index}", reference, result)
+
+
 def test_sweep_cohort_backend_matches_vectorized() -> None:
     """``ScenarioSweep`` with ``backend="cohort"`` batches compatible
     cells and returns the exact metrics of the per-cell vectorized
@@ -170,3 +216,41 @@ def test_sweep_cohort_backend_matches_vectorized() -> None:
     ).run()
     assert lone.ok, lone.failures
     assert lone.metrics[0] == reference.metrics[0]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SimulationError("the cohort refused"), TypeError("a stacking defect")],
+    ids=["repro-error-falls-back", "other-error-propagates"],
+)
+def test_sweep_cohort_batch_failure(monkeypatch, error) -> None:
+    """A batch the cohort refuses (a ``ReproError``) falls back to the
+    per-cell path with the same metrics; any other exception is a defect
+    in the stacking and propagates instead of costing the batch."""
+    attempts = []
+
+    def failing(*args, **kwargs):
+        attempts.append(args)
+        raise error
+
+    monkeypatch.setattr(
+        "repro.experiments.sweep.run_survival_cohort", failing
+    )
+    dense = replace(DENSE_ATTACK, start_s=60.0, name="dense-late")
+    cells = survival_grid_cells(
+        [dense], ("Conv", "uDEB"), 120.0, backend="cohort"
+    )
+    sweep = ScenarioSweep(SETUP, cells, workers=0)
+    if isinstance(error, TypeError):
+        with pytest.raises(TypeError, match="a stacking defect"):
+            sweep.run()
+        return
+    result = sweep.run()
+    assert len(attempts) == 1
+    assert result.ok, result.failures
+    assert result.metrics == tuple(
+        run_survival(
+            SETUP, cell.scheme, cell.scenario, window_s=120.0
+        ).survival_or_window()
+        for cell in cells
+    )

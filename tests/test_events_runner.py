@@ -12,7 +12,6 @@ from repro.experiments import ExperimentSetup
 from repro.experiments.sweep import (
     ScenarioSweep,
     SweepCell,
-    derive_cell_seed,
     execute_cell,
     survival_grid_cells,
 )
@@ -333,10 +332,3 @@ class TestScenarioSweep:
             ScenarioSweep(self._setup(), [], workers=0).run()
         with pytest.raises(SimulationError):
             ScenarioSweep(self._setup(), self._cells(), workers=-1)
-
-    def test_derived_seeds_are_stable_and_distinct(self):
-        a = derive_cell_seed(7, "dense-cpu", "PAD")
-        b = derive_cell_seed(7, "dense-cpu", "PAD")
-        c = derive_cell_seed(7, "dense-cpu", "Conv")
-        assert a == b
-        assert a != c

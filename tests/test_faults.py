@@ -91,6 +91,11 @@ class TestSpecValidation:
         with pytest.raises(FaultInjectionError):
             SocFreeze(start_s=10.0, end_s=5.0)
 
+    def test_window_start_must_be_nonnegative(self):
+        # The same rule as one-shot instants and grid windows.
+        with pytest.raises(FaultInjectionError, match="start_s must be >= 0"):
+            UdebStuckOpen(start_s=-1.0, end_s=5.0)
+
     def test_one_shot_instant_must_be_nonnegative(self):
         with pytest.raises(FaultInjectionError):
             BatteryFade(at_s=-1.0, fade=0.2)

@@ -20,8 +20,10 @@ naming its cause) and — in a subprocess with no C compiler on ``PATH``
 from __future__ import annotations
 
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -500,6 +502,61 @@ def test_cache_name_tracks_compiler_and_flags(monkeypatch) -> None:
         tuple(f for f in cc_backend._FLAGS if f != "-ffp-contract=off"),
     )
     assert cc_backend._cache_name("/usr/bin/gcc") != gcc
+
+
+@pytest.mark.skipif(
+    not HAVE_PROVIDER, reason="no compiled kernel provider available"
+)
+def test_default_cache_is_created_private(
+    unresolved_provider, tmp_path
+) -> None:
+    """With ``REPRO_KERNEL_CACHE`` unset the cache is a per-user
+    directory in the temp dir, created ``0o700``, and ``cc`` loads
+    from it."""
+    unresolved_provider.delenv("REPRO_KERNEL_CACHE")
+    unresolved_provider.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+    assert active_provider() == "cc"
+    cache = tmp_path / f"repro-kernels-{os.getuid()}"
+    assert stat.S_IMODE(cache.lstat().st_mode) == 0o700
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+@pytest.mark.parametrize(
+    "shape", ["world-writable", "group-writable", "symlink"]
+)
+def test_shared_default_cache_is_refused(
+    unresolved_provider, tmp_path, shape
+) -> None:
+    """A default cache that is not a private directory is refused
+    before anything in it is loaded: one warning names it as not
+    private, the run degrades to numpy, and the planted file is left
+    alone."""
+    unresolved_provider.delenv("REPRO_KERNEL_CACHE")
+    unresolved_provider.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+    unresolved_provider.setattr(cc_backend, "_compiler", lambda: "/bin/false")
+    cache = tmp_path / f"repro-kernels-{os.getuid()}"
+    if shape == "symlink":
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        cache.symlink_to(target)
+    else:
+        cache.mkdir()
+        cache.chmod(0o777 if shape == "world-writable" else 0o770)
+    planted = cache / f"{cc_backend._cache_name('/bin/false')}.so"
+    planted.write_bytes(b"planted")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert resolve_kernels("compiled") == "numpy"
+        assert resolve_kernels("compiled") == "numpy"
+    fallbacks = [
+        w for w in caught if issubclass(w.category, KernelFallbackWarning)
+    ]
+    assert len(fallbacks) == 1, fallbacks
+    assert f"the kernel cache {cache} is not private" in str(
+        fallbacks[0].message
+    )
+    assert active_provider() is None
+    assert planted.read_bytes() == b"planted"
 
 
 _FALLBACK_CHILD = """
